@@ -8,15 +8,13 @@ import (
 
 // ChanConfine confines channel operations — creation, send, receive,
 // select, close, range — to the two sanctioned concurrency layers: the
-// experiment orchestrator (internal/sweep) and the declared future
-// conservative-parallel partition layer (internal/sim/partition, see
-// ROADMAP "conservative parallel simulation"). Everywhere else, including
-// the sim kernel itself, a channel operation is a finding: the kernel's
-// own process-handoff channels are explicit, individually justified
-// //lint:allow exceptions, so any new channel topology must either live in
-// a sanctioned layer or argue its case in a directive reason. Channel
-// *type* declarations (struct fields, signatures) are not flagged — only
-// operations move data between goroutines.
+// experiment orchestrator (internal/sweep) and the conservative-parallel
+// partition layer (internal/sim/partition). Everywhere else, including the
+// sim kernel itself (whose processes switch through iter.Pull, not
+// channels), a channel operation is a finding, so any new channel topology
+// must either live in a sanctioned layer or argue its case in a directive
+// reason. Channel *type* declarations (struct fields, signatures) are not
+// flagged — only operations move data between goroutines.
 //
 // This is deliberately stricter than nogoroutine, which blanket-exempts
 // internal/sim: when the sharded engine lands, its cross-shard channels

@@ -271,6 +271,10 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 		panic("machine: Run called twice")
 	}
 	m.ran = true
+	// Kill every live process on every exit path, panics included: a panic
+	// in one node's program surfaces from the engine mid-run, and its
+	// parked peers must not outlive the machine.
+	defer m.drainAll()
 	m.registerBarrier()
 	if m.group != nil {
 		return m.runSharded(prog)
@@ -350,20 +354,16 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 
 	m.Eng.RunWhile(func() bool { return done < len(m.Nodes) && stalled == "" })
 	if stalled != "" {
-		m.Eng.Drain()
 		panic(stalled)
 	}
 	if done < len(m.Nodes) && m.Eng.Pending() == 0 {
 		// The event queue drained with nodes still running: a lost message,
 		// ack, or bounce stranded them. Fail loudly with the quiescence
 		// diagnostic instead of silently returning a truncated run.
-		report := m.Eng.StallReport()
-		m.Eng.Drain()
 		panic(fmt.Sprintf("machine: simulation stalled with %d/%d nodes finished at %v\n%s",
-			done, len(m.Nodes), m.Eng.Now(), report))
+			done, len(m.Nodes), m.Eng.Now(), m.Eng.StallReport()))
 	}
 	m.Stats.ExecTime = m.Eng.Now()
-	m.Eng.Drain()
 	return m.Stats
 }
 
@@ -471,18 +471,14 @@ func (m *Machine) runSharded(prog func(n *Node)) *stats.Machine {
 		return m.group.Run(ctrl)
 	}()
 	if stalled != "" {
-		m.drainAll()
 		panic(stalled)
 	}
 	if !finished && total() < N {
 		// Every shard's queue drained with nodes still running: a lost
 		// message, ack, or bounce stranded them — same diagnosis as the
 		// serial path.
-		report := m.Eng.StallReport()
-		now := m.Eng.Now()
-		m.drainAll()
 		panic(fmt.Sprintf("machine: simulation stalled with %d/%d nodes finished at %v\n%s",
-			total(), N, now, report))
+			total(), N, m.Eng.Now(), m.Eng.StallReport()))
 	}
 	exec := sim.Time(0)
 	for _, t := range doneAt {
@@ -491,7 +487,6 @@ func (m *Machine) runSharded(prog func(n *Node)) *stats.Machine {
 		}
 	}
 	m.Stats.ExecTime = exec
-	m.drainAll()
 	return m.Stats
 }
 

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with two programming models: plain scheduled callbacks for hardware
-// state machines, and cooperative processes (goroutine-backed coroutines
-// with strict handoff) for software running on simulated processors.
+// state machines, and cooperative processes (runtime coroutines driven
+// through iter.Pull) for software running on simulated processors.
 //
 // Simulated time is measured in integer picoseconds so that every clock in
 // the modeled system (1 GHz processor, 250 MHz memory bus, 40 ns network,
@@ -313,4 +313,3 @@ func (e *Engine) Drain() {
 	}
 	e.procs = make(map[*Process]struct{})
 }
-

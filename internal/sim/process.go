@@ -1,25 +1,35 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 )
 
-// Process is a cooperative coroutine running simulated software. Exactly one
-// goroutine — either the engine's run loop or one process — executes at any
-// instant; control is handed off synchronously, so simulations remain fully
-// deterministic despite using goroutines under the hood.
+// Process is a cooperative coroutine running simulated software. Its body
+// runs on a runtime coroutine (iter.Pull): the engine resumes it by calling
+// next and it hands control back by calling yield, each a direct coroutine
+// switch with no trip through the Go scheduler. Exactly one of the two runs
+// at any instant, so simulations remain fully deterministic.
+//
+// A panic in the body ends the process (Done reports true) and surfaces
+// from the engine call that resumed it, on the engine's goroutine. Drain
+// kills a live process: an unstarted body never runs, and a parked body
+// unwinds from the call that parked it, running its deferred functions,
+// by a panic that Spawn recovers. A body must therefore not swallow that
+// panic with a bare recover(): a deferred recover must re-panic any value
+// it does not own.
 //
 // All Process methods except Done must be called from within the process's
 // own body function.
 type Process struct {
-	eng    *Engine
-	name   string
-	sem    chan struct{} // engine -> process: resume
-	back   chan struct{} // process -> engine: yielded or finished
-	done   bool
-	killed bool
-	parked bool
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool) // engine -> process: run to the next yield
+	stop  func()                  // engine: kill, unwinding a parked body
+	yield func(struct{}) bool     // process -> engine: false once stopped
+	done  bool
 
 	// Category is an opaque tag identifying what the simulated software is
 	// currently doing (compute, data transfer, buffering stall, ...). Time
@@ -32,27 +42,30 @@ type Process struct {
 	OnBlocked func(category int, d Time)
 }
 
+// procKilled is the panic value that unwinds a killed process's body.
+type procKilled struct{}
+
 // Spawn creates a process executing body and schedules it to start at the
 // current simulation time. The body runs entirely inside engine time.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{
-		eng:  e,
-		name: name,
-		sem:  make(chan struct{}), //lint:allow chanconfine coroutine handoff pair is the kernel's process primitive, created once per Spawn
-		back: make(chan struct{}),
-	}
+	p := &Process{eng: e, name: name}
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.sem //lint:allow chanconfine strict synchronous handoff: the goroutine blocks until the engine resumes it
-		if p.killed {
-			p.back <- struct{}{} //lint:allow chanconfine killed-before-start acknowledgment back to the engine
-			return
-		}
+	// The sequence must stay Spawn's first function literal, with its
+	// defer nested inside it: host profiles recognize process stacks by
+	// the frame name sim.(*Engine).Spawn.func1.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			p.done = true
+			delete(e.procs, p)
+			if r := recover(); r != nil {
+				if _, killed := r.(procKilled); !killed {
+					panic(r)
+				}
+			}
+		}()
+		p.yield = yield
 		body(p)
-		p.done = true
-		delete(e.procs, p)
-		p.back <- struct{}{} //lint:allow chanconfine body-finished handoff back to the engine
-	}()
+	})
 	e.AfterEvent(0, procResume, p, 0)
 	return p
 }
@@ -65,39 +78,29 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 //lint:hotpath
 func procResume(recv any, _ uint64) { recv.(*Process).resume() }
 
-// resume transfers control to the process and waits until it yields back.
-// Must be called from engine context (an event callback).
+// resume runs the process until it yields back or finishes. Must be called
+// from engine context (an event callback).
 func (p *Process) resume() {
-	if p.done {
-		return
+	if !p.done {
+		p.next()
 	}
-	p.parked = false
-	p.sem <- struct{}{} //lint:allow chanconfine engine-to-process control transfer; the pair of ops is the handoff itself
-	<-p.back
 }
 
 // suspend parks the process, handing control back to the engine. Must be
-// called from process context.
+// called from process context. A kill unwinds the body from here.
 func (p *Process) suspend() {
-	p.parked = true
-	p.back <- struct{}{} //lint:allow chanconfine process-to-engine control transfer; blocks until resumed
-	<-p.sem
-	if p.killed {
-		p.done = true
-		delete(p.eng.procs, p)
-		p.back <- struct{}{} //lint:allow chanconfine kill acknowledgment before Goexit unwinds the coroutine
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(procKilled{})
 	}
 }
 
 // kill terminates a parked or unstarted process. Called from engine context.
+// done is set here because stop never enters an unstarted sequence.
 func (p *Process) kill() {
-	if p.done {
-		return
+	if !p.done {
+		p.done = true
+		p.stop()
 	}
-	p.killed = true
-	p.sem <- struct{}{} //lint:allow chanconfine teardown handoff waking the parked coroutine so it can exit
-	<-p.back
 }
 
 // Engine returns the engine this process runs on.
@@ -106,7 +109,8 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Name returns the process's diagnostic name.
 func (p *Process) Name() string { return p.name }
 
-// Done reports whether the process body has returned.
+// Done reports whether the process has ended: its body returned or
+// panicked, or Drain killed it.
 func (p *Process) Done() bool { return p.done }
 
 // Now returns the current simulated time.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -290,5 +291,91 @@ func TestUnparkDoneProcessIsNoop(t *testing.T) {
 	e.Run()
 	if !p.Done() {
 		t.Fatal("process not done")
+	}
+}
+
+// TestProcessPanicSurfacesFromRun: a panic in a process body surfaces from
+// Engine.Run on the engine's goroutine, where its caller can recover it,
+// and leaves the process done so a later Unpark or Drain is a no-op.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("boom", func(p *Process) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic value", r)
+			}
+		}()
+		e.Run()
+	}()
+	if !p.Done() {
+		t.Fatal("panicked process not Done")
+	}
+	p.Unpark()
+	if e.Pending() != 0 {
+		t.Fatalf("Unpark of a panicked process scheduled %d events", e.Pending())
+	}
+	e.Drain()
+	if len(e.procs) != 0 {
+		t.Fatalf("process registry not empty after Drain: %d", len(e.procs))
+	}
+}
+
+// TestDrainTearsDownEveryState kills an unstarted, a parked and a sleeping
+// process: the unstarted body never runs, and each started body unwinds
+// from its blocking call, running its deferred functions exactly once.
+func TestDrainTearsDownEveryState(t *testing.T) {
+	e := NewEngine()
+	deferred := map[string]int{}
+	parked := e.Spawn("parked", func(p *Process) {
+		defer func() { deferred["parked"]++ }()
+		p.Park()
+		t.Error("parked body continued after Drain")
+	})
+	sleeping := e.Spawn("sleeping", func(p *Process) {
+		defer func() { deferred["sleeping"]++ }()
+		p.Sleep(Millisecond)
+		t.Error("sleeping body continued after Drain")
+	})
+	e.RunUntil(Microsecond)
+	unstarted := e.Spawn("unstarted", func(p *Process) {
+		t.Error("unstarted body ran")
+	})
+	e.Drain()
+	e.Drain() // a second Drain finds nothing left to kill
+	for _, name := range []string{"parked", "sleeping"} {
+		if deferred[name] != 1 {
+			t.Errorf("%s body's deferred function ran %d times, want 1", name, deferred[name])
+		}
+	}
+	for _, p := range []*Process{parked, sleeping, unstarted} {
+		if !p.Done() {
+			t.Errorf("%s not Done after Drain", p.Name())
+		}
+	}
+	if len(e.procs) != 0 {
+		t.Fatalf("process registry not empty after Drain: %d", len(e.procs))
+	}
+}
+
+// TestDrainReleasesGoroutines: every process's coroutine goroutine is gone
+// once Drain returns, whatever state the process was in. The count may only
+// fall: an earlier test's goroutine can still be exiting when it is taken.
+func TestDrainReleasesGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		e := NewEngine()
+		e.Spawn("parked", func(p *Process) { p.Park() })
+		e.Spawn("sleeping", func(p *Process) { p.Sleep(Millisecond) })
+		e.Spawn("finished", func(p *Process) {})
+		e.RunUntil(Nanosecond)
+		e.Spawn("unstarted", func(p *Process) {})
+		e.Drain()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after 1000 spawn+Drain cycles", before, after)
 	}
 }
