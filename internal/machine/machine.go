@@ -156,6 +156,15 @@ type Machine struct {
 // configuration forced the serial fallback).
 func (m *Machine) Shards() int { return len(m.Engines) }
 
+// PartitionStats returns the partitioned engine's barrier-round counters
+// (see partition.Stats); they are zero on a serial machine.
+func (m *Machine) PartitionStats() partition.Stats {
+	if m.group == nil {
+		return partition.Stats{}
+	}
+	return m.group.Stats()
+}
+
 // effectiveShards clamps the requested shard count to what the
 // configuration can partition: at most one shard per node, serial when the
 // network has no positive latency to serve as lookahead, and serial when a

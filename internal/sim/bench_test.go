@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduleClosure is the pre-refactor idiom: one closure per
 // scheduled event. The closure environment still allocates at the caller;
@@ -68,4 +71,31 @@ func BenchmarkProcessYield(b *testing.B) {
 	e.Run()
 	b.StopTimer()
 	e.Drain()
+}
+
+// BenchmarkProcessSleep measures one Sleep. A lone sleeper's wake-up is
+// always the next event, so Sleep fast-forwards without a queue round trip
+// or a coroutine switch; two sleepers offset by one nanosecond interleave,
+// so every wake-up is queued behind the other's and each Sleep is a full
+// handoff.
+func BenchmarkProcessSleep(b *testing.B) {
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("sleepers=%d", procs), func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < procs; i++ {
+				first := Time(i+1) * Nanosecond
+				e.Spawn("sleeper", func(p *Process) {
+					p.Sleep(first)
+					for j := i; j < b.N; j += procs {
+						p.Sleep(Time(procs) * Nanosecond)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.StopTimer()
+			e.Drain()
+		})
+	}
 }

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -44,18 +45,32 @@ func (t Time) String() string {
 	}
 }
 
+// maxTime is the latest representable instant: Run's and RunWhile's bound.
+const maxTime = Time(math.MaxInt64)
+
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // the cooperative-process machinery guarantees that at most one goroutine
 // touches the engine at any instant.
+//
+// Pending events live in two queues that together pop in strict key order
+// (at, schedAt, ord, ordSeq, seq) — see the heap order note in event.go. A
+// non-timer event scheduled for the current instant from local context,
+// key (now, now, 0, 0, seq), goes to the same-instant lane, an O(1) FIFO;
+// everything else, timers included, goes to the binary heap. Step pops
+// whichever of the lane head and the heap top is smaller under the full
+// key: usually the lane, but a heap event at (now, schedAt < now) — posted
+// earlier for this instant — still runs first.
 type Engine struct {
 	now     Time
 	seq     uint64
 	pq      eventHeap
+	lane    eventFIFO
 	pool    *event // free list of recycled event records
 	pooled  int
 	procs   map[*Process]struct{}
 	stopped bool
 	stepped uint64 // number of events executed
+	run     runLoop
 
 	quiescence []func() string
 
@@ -77,26 +92,78 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.stepped }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return e.pq.len() }
+func (e *Engine) Pending() int { return e.pq.len() + e.lane.n }
 
-// schedule allocates a pooled record, stamps it with (t, next seq), and
-// enqueues it. Scheduling in the past panics: a discrete-event simulation
-// must never travel backwards.
-func (e *Engine) schedule(t Time) *event {
-	return e.scheduleKeyed(t, e.now, 0, 0)
+// runLoop is what the active run loop (Run, RunWhile, RunUntil, RunWindow)
+// would do at the next event boundary; Process.Sleep's fast-forward
+// consults it so that skipping a wake-up's round trip through the queue
+// is exact. The zero value, outside any loop, admits no wake-up: every
+// wake-up lies after time 0.
+type runLoop struct {
+	last Time        // latest event time the loop admits
+	cond func() bool // RunWhile's condition; nil for the other loops
+	// condFalse records that Sleep already evaluated cond at this event
+	// boundary and got false, so RunWhile stops without evaluating it a
+	// second time.
+	condFalse bool
 }
 
-// scheduleKeyed is schedule with the full explicit heap key: the schedule
-// stamp plus the network-post ordinal pair (see the heap order note in
-// event.go). The key fields must be in place before the push.
-func (e *Engine) scheduleKeyed(t, schedAt Time, ord, ordSeq uint64) *event {
+// enterLoop installs a run loop's admission rule and returns the previous
+// one for the loop to restore when it returns.
+func (e *Engine) enterLoop(last Time, cond func() bool) runLoop {
+	prev := e.run
+	e.run = runLoop{last: last, cond: cond}
+	return prev
+}
+
+// wakeIsNext reports whether a process wake-up scheduled now for time t —
+// key (t, now, 0, 0, seq+1) — is the very next event the active run loop
+// would execute: nothing in the lane, the heap top later under the full
+// key, the engine not stopped, t inside the loop's bound, and RunWhile's
+// condition true at this boundary (evaluated here in the loop's place).
+// A Step called outside any run loop never qualifies.
+func (e *Engine) wakeIsNext(t Time) bool {
+	r := &e.run
+	if t > r.last || e.stopped || e.lane.head != nil {
+		return false
+	}
+	if len(e.pq.a) > 0 {
+		// Every queued seq is below the wake-up's, so the top wins any tie
+		// on (at, schedAt, ord, ordSeq); ordSeq is 0 whenever ord is.
+		top := e.pq.a[0]
+		if top.at < t || top.at == t && (top.schedAt < e.now || top.schedAt == e.now && top.ord == 0) {
+			return false
+		}
+	}
+	if r.cond != nil && !r.cond() {
+		r.condFalse = true
+		return false
+	}
+	return !e.stopped // cond may itself have called Stop
+}
+
+// schedule allocates a pooled record, stamps it with (t, next seq), and
+// enqueues it: in the same-instant lane when t is now, in the heap
+// otherwise.
+func (e *Engine) schedule(t Time) *event { return e.enqueue(t, e.now, 0, 0, t == e.now) }
+
+// enqueue is schedule with the full explicit key: the schedule stamp plus
+// the network-post ordinal pair (see the heap order note in event.go). The
+// record goes to the heap unless lane is set, which only schedule does for
+// a key of (now, now, 0, 0). Scheduling in the past panics: a
+// discrete-event simulation must never travel backwards.
+func (e *Engine) enqueue(t, schedAt Time, ord, ordSeq uint64, lane bool) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
 	e.seq++
 	ev.at, ev.schedAt, ev.ord, ev.ordSeq, ev.seq = t, schedAt, ord, ordSeq, e.seq
-	e.pq.push(ev)
+	if lane {
+		e.lane.push(ev)
+	} else {
+		e.pq.push(ev)
+	}
 	return ev
 }
 
@@ -141,7 +208,7 @@ func (e *Engine) AtEvent(t Time, h Handler, recv any, arg uint64) {
 //
 //lint:hotpath
 func (e *Engine) AtEventPosted(t Time, src int, postSeq uint64, h Handler, recv any, arg uint64) {
-	ev := e.scheduleKeyed(t, e.now, uint64(src)+1, postSeq)
+	ev := e.enqueue(t, e.now, uint64(src)+1, postSeq, false)
 	ev.h, ev.recv, ev.arg = h, recv, arg
 }
 
@@ -158,7 +225,7 @@ func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Hand
 	if schedAt > t {
 		panic(fmt.Sprintf("sim: event at %v stamped from the future %v", t, schedAt))
 	}
-	ev := e.scheduleKeyed(t, schedAt, uint64(src)+1, postSeq)
+	ev := e.enqueue(t, schedAt, uint64(src)+1, postSeq, false)
 	ev.h, ev.recv, ev.arg = h, recv, arg
 }
 
@@ -166,10 +233,14 @@ func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Hand
 // false when the queue is empty. The partitioned runtime uses this at each
 // barrier to size the next conservative window.
 func (e *Engine) NextEventAt() (t Time, ok bool) {
-	if e.pq.len() == 0 {
+	ev := e.lane.head
+	if len(e.pq.a) > 0 && (ev == nil || before(e.pq.a[0], ev)) {
+		ev = e.pq.a[0]
+	}
+	if ev == nil {
 		return 0, false
 	}
-	return e.pq.a[0].at, true
+	return ev.at, true
 }
 
 // RunWindow executes every pending event with a timestamp strictly before
@@ -179,8 +250,8 @@ func (e *Engine) NextEventAt() (t Time, ok bool) {
 // before it is safe to run without coordination. An empty window just
 // advances the clock.
 func (e *Engine) RunWindow(end Time) {
-	for !e.stopped && e.pq.len() > 0 && e.pq.a[0].at < end {
-		e.Step()
+	defer func(prev runLoop) { e.run = prev }(e.enterLoop(end-1, nil))
+	for e.step(end - 1) {
 	}
 	if !e.stopped && e.now < end {
 		e.now = end
@@ -200,7 +271,7 @@ func (e *Engine) AfterEvent(d Time, h Handler, recv any, arg uint64) {
 //
 //lint:hotpath
 func (e *Engine) AtTimer(t Time, h Handler, recv any, arg uint64) Timer {
-	ev := e.schedule(t)
+	ev := e.enqueue(t, e.now, 0, 0, false)
 	ev.h, ev.recv, ev.arg = h, recv, arg
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
@@ -220,11 +291,30 @@ func (e *Engine) AfterTimer(d Time, h Handler, recv any, arg uint64) Timer {
 // handlers are hot through their own scheduling sites instead.
 //
 //lint:hotpath
-func (e *Engine) Step() bool {
-	if e.stopped || e.pq.len() == 0 {
+func (e *Engine) Step() bool { return e.step(maxTime) }
+
+// step executes the next pending event if the engine is not stopped and
+// the event's time is at most last, and reports whether it did. The next
+// event is the lane head or the heap top, whichever is smaller under the
+// full key.
+//
+//lint:hotpath
+func (e *Engine) step(last Time) bool {
+	if e.stopped {
 		return false
 	}
-	ev := e.pq.pop()
+	ev := e.lane.head
+	if len(e.pq.a) > 0 && (ev == nil || before(e.pq.a[0], ev)) {
+		if ev = e.pq.a[0]; ev.at > last {
+			return false
+		}
+		e.pq.pop()
+	} else {
+		if ev == nil || ev.at > last {
+			return false
+		}
+		e.lane.pop()
+	}
 	e.now = ev.at
 	e.stepped++
 	// Capture the callback, then recycle the record before dispatching: the
@@ -246,7 +336,8 @@ func (e *Engine) Step() bool {
 // simulation that runs out of events with work still outstanding has lost
 // a message, not finished.
 func (e *Engine) Run() {
-	for e.Step() {
+	defer func(prev runLoop) { e.run = prev }(e.enterLoop(maxTime, nil))
+	for e.step(maxTime) {
 	}
 	if !e.stopped && e.OnStall != nil {
 		if r := e.StallReport(); r != "" {
@@ -281,8 +372,8 @@ func (e *Engine) StallReport() string {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped && e.pq.len() > 0 && e.pq.a[0].at <= t {
-		e.Step()
+	defer func(prev runLoop) { e.run = prev }(e.enterLoop(t, nil))
+	for e.step(t) {
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
@@ -290,9 +381,14 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // RunWhile executes events until cond reports false, the queue drains, or
-// the engine is stopped. cond is evaluated after every event.
+// the engine is stopped. cond is evaluated once before every event: by
+// this loop, or by a sleeping process's fast-forward (see Process.Sleep),
+// which asks it at the same event boundary. It must depend only on
+// simulation state, not on the queue itself (Pending, NextEventAt): a
+// fast-forwarding Sleep asks it before its wake-up is queued.
 func (e *Engine) RunWhile(cond func() bool) {
-	for !e.stopped && cond() && e.Step() {
+	defer func(prev runLoop) { e.run = prev }(e.enterLoop(maxTime, cond))
+	for !e.stopped && !e.run.condFalse && cond() && e.step(maxTime) {
 	}
 }
 

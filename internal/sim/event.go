@@ -22,13 +22,16 @@ package sim
 // TestTypedScheduleAllocFree). Closure events ride the same pooled records;
 // only their captured environments still allocate, at the caller.
 //
-// Determinism: pooling and cancellation cannot reorder same-time events.
-// The heap orders strictly by (at, seq); seq is assigned once per schedule
-// call from a monotonic counter and is never reused by a recycled record,
-// so FIFO order among same-timestamp events is exactly the order of the
-// schedule calls, as before. Cancellation removes a record without touching
-// the (at, seq) keys of any other record, and a binary heap's pop order is
-// a pure function of the surviving keys.
+// Determinism: pooling, cancellation and the same-instant lane cannot
+// reorder events. The engine pops strictly by the full key (at, schedAt,
+// ord, ordSeq, seq) — see the heap order note on eventHeap; seq is
+// assigned once per schedule call from a monotonic counter and is never
+// reused by a recycled record, so FIFO order among same-timestamp events
+// is exactly the order of the schedule calls. Cancellation removes a record
+// without touching the key of any other record. The lane (eventFIFO) holds
+// only records keyed (now, now, 0, 0, seq), which differ in seq alone, so
+// its FIFO order is their key order; Engine.Step compares its head with
+// the heap top under the same key and pops the smaller.
 
 // Handler is the code half of a typed event: a package-level function (or a
 // wrapper around a method) invoked with the event's receiver and argument
@@ -51,8 +54,8 @@ type event struct {
 	arg  uint64
 
 	gen  uint64 // recycle generation, guards Timer handles
-	idx  int    // heap position; -1 when not queued
-	next *event // free-list link
+	idx  int    // heap position; -1 when not in the heap
+	next *event // lane link while queued in the lane, free-list link once released
 }
 
 // Timer is a handle on a scheduled event that can be cancelled. The zero
@@ -116,98 +119,124 @@ func (e *Engine) release(ev *event) {
 	e.pooled++
 }
 
-// eventHeap is a hand-rolled binary min-heap over (at, schedAt, ord,
-// ordSeq, seq). It is not a container/heap implementation on purpose: the
-// interface-based API boxes every pushed element, which was one allocation
-// per scheduled event. Records carry their heap index so cancellation can
-// remove them in O(log n).
+// eventHeap is a hand-rolled binary min-heap over the full key (at,
+// schedAt, ord, ordSeq, seq) — see before. It is not a container/heap
+// implementation on purpose: the interface-based API boxes every pushed
+// element, which was one allocation per scheduled event. Records carry
+// their heap index so cancellation can remove them in O(log n). Sifts move
+// a hole rather than swapping, and pop is bottom-up: the root hole walks
+// to a leaf along the smaller child (one comparison per level), then the
+// old last element — a bottom-level record, so usually a late one — sifts
+// up from there, which is cheaper than the two comparisons per level of a
+// top-down sift that carries it all the way back down.
 //
-// Heap order note: on a serial engine schedAt (the clock at schedule time)
-// is nondecreasing in seq, so among plain events (ord 0) the full key pops
-// in exactly the same order as the original (at, seq) key. The ord/ordSeq
-// pair is the network-post tie-break: events posted through a netsim
-// endpoint (AtEventPosted, AtEventStamped) carry their posting node's
-// ordinal and per-node sequence, so two posts that tie on (at, schedAt)
-// order by posting node rather than by which engine's schedule call
-// happened to run first. That makes the pop order a pure function of the
-// simulation's content — the property that lets a partitioned run
-// (internal/sim/partition) integrate cross-shard events at window barriers
-// and still pop them exactly where the serial engine would have.
+// Heap order note: seq is unique per engine, so the key is a strict total
+// order and the pop sequence is a pure function of the queued keys, never
+// of the heap's internal layout — any correct sift (top-down, bottom-up)
+// and any cancellation pops identically. On a serial engine schedAt (the
+// clock at schedule time) is nondecreasing in seq, so among plain events
+// (ord 0) the full key pops in exactly the same order as the original
+// (at, seq) key. The ord/ordSeq pair is the network-post tie-break: events
+// posted through a netsim endpoint (AtEventPosted, AtEventStamped) carry
+// their posting node's ordinal and per-node sequence, so two posts that
+// tie on (at, schedAt) order by posting node rather than by which engine's
+// schedule call happened to run first. That makes the pop order a pure
+// function of the simulation's content — the property that lets a
+// partitioned run (internal/sim/partition) integrate cross-shard events at
+// window barriers and still pop them exactly where the serial engine
+// would have.
 type eventHeap struct {
 	a []*event
 }
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-func (h *eventHeap) less(i, j int) bool {
-	if h.a[i].at != h.a[j].at {
-		return h.a[i].at < h.a[j].at
+// before reports whether a pops before b under the full key (at, schedAt,
+// ord, ordSeq, seq), compared lexicographically.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h.a[i].schedAt != h.a[j].schedAt {
-		return h.a[i].schedAt < h.a[j].schedAt
+	if a.schedAt != b.schedAt {
+		return a.schedAt < b.schedAt
 	}
-	if h.a[i].ord != h.a[j].ord {
-		return h.a[i].ord < h.a[j].ord
+	if a.ord != b.ord {
+		return a.ord < b.ord
 	}
-	if h.a[i].ordSeq != h.a[j].ordSeq {
-		return h.a[i].ordSeq < h.a[j].ordSeq
+	if a.ordSeq != b.ordSeq {
+		return a.ordSeq < b.ordSeq
 	}
-	return h.a[i].seq < h.a[j].seq
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) swap(i, j int) {
-	h.a[i], h.a[j] = h.a[j], h.a[i]
-	h.a[i].idx = i
-	h.a[j].idx = j
-}
-
-func (h *eventHeap) up(i int) {
+// up moves the hole at i toward the root until ev fits, then places ev.
+func (h *eventHeap) up(i int, ev *event) {
+	a := h.a
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !before(ev, a[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		a[i] = a[parent]
+		a[i].idx = i
 		i = parent
 	}
+	a[i] = ev
+	ev.idx = i
 }
 
-func (h *eventHeap) down(i int) bool {
-	start, n := i, len(h.a)
+// down moves the hole at i toward the leaves until ev fits, places ev,
+// and reports whether it moved.
+func (h *eventHeap) down(i int, ev *event) bool {
+	a, n, start := h.a, len(h.a), i
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
-		least := l
-		if r := l + 1; r < n && h.less(r, l) {
-			least = r
+		if r := l + 1; r < n && before(a[r], a[l]) {
+			l = r
 		}
-		if !h.less(least, i) {
+		if !before(a[l], ev) {
 			break
 		}
-		h.swap(i, least)
-		i = least
+		a[i] = a[l]
+		a[i].idx = i
+		i = l
 	}
+	a[i] = ev
+	ev.idx = i
 	return i > start
 }
 
 func (h *eventHeap) push(ev *event) {
-	ev.idx = len(h.a)
 	h.a = append(h.a, ev) //lint:allow noalloc heap backing array grows to the peak pending-event count, then is reused
-	h.up(ev.idx)
+	h.up(len(h.a)-1, ev)
 }
 
+// pop removes and returns the minimum (bottom-up; see eventHeap).
 func (h *eventHeap) pop() *event {
-	ev := h.a[0]
-	n := len(h.a) - 1
+	a := h.a
+	ev := a[0]
+	n := len(a) - 1
+	last := a[n]
+	a[n] = nil
+	h.a = a[:n]
 	if n > 0 {
-		h.swap(0, n)
-	}
-	h.a[n] = nil
-	h.a = h.a[:n]
-	if n > 0 {
-		h.down(0)
+		i := 0
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && before(a[r], a[l]) {
+				l = r
+			}
+			a[i] = a[l]
+			a[i].idx = i
+			i = l
+		}
+		h.up(i, last)
 	}
 	ev.idx = -1
 	h.maybeShrink()
@@ -218,16 +247,48 @@ func (h *eventHeap) pop() *event {
 func (h *eventHeap) remove(ev *event) {
 	i := ev.idx
 	n := len(h.a) - 1
-	if i != n {
-		h.swap(i, n)
-	}
+	last := h.a[n]
 	h.a[n] = nil
 	h.a = h.a[:n]
-	if i != n && !h.down(i) {
-		h.up(i)
+	if i != n && !h.down(i, last) {
+		h.up(i, last)
 	}
 	ev.idx = -1
 	h.maybeShrink()
+}
+
+// eventFIFO is the same-instant lane: a FIFO of non-timer events
+// scheduled for the current instant by plain engine context (key (now,
+// now, 0, 0, seq)), linked intrusively through event.next — a queued
+// record is never on the free list, so the field is free. Such events are
+// a fifth of all events in a macrobenchmark cell (process unparks, spawns,
+// resumes after a bus access), and the lane queues and dequeues each in
+// O(1) instead of two O(log n) heap sifts. Timers never ride the lane, so
+// Timer.Stop only ever removes from the heap.
+type eventFIFO struct {
+	head, tail *event
+	n          int
+}
+
+func (q *eventFIFO) push(ev *event) {
+	if q.tail == nil {
+		q.head = ev
+	} else {
+		q.tail.next = ev
+	}
+	q.tail = ev
+	q.n++
+}
+
+func (q *eventFIFO) pop() *event {
+	ev := q.head
+	q.head = ev.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	ev.next = nil
+	q.n--
+	return ev
 }
 
 // minHeapCap is the backing-array size below which shrinking is pointless.

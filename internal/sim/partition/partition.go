@@ -30,9 +30,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"nisim/internal/sim"
@@ -68,17 +69,17 @@ type Record struct {
 // byKey orders records by (At, SchedAt, Src, Seq) — the serial heap key
 // extended with a total deterministic tie-break, so the barrier merge is
 // independent of outbox traversal order.
-func byKey(a, b Record) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func byKey(a, b Record) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	if a.SchedAt != b.SchedAt {
-		return a.SchedAt < b.SchedAt
+	if c := cmp.Compare(a.SchedAt, b.SchedAt); c != 0 {
+		return c
 	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Control customizes a Run loop at its barriers. The zero value runs
@@ -133,8 +134,34 @@ type Group struct {
 	stop    atomic.Bool
 	fail    []any
 
+	// Per-window cost counters (see Stats): each shard's Events() when the
+	// current window opened, and the running totals.
+	startEvents []uint64
+	stats       Stats
+
 	closed bool
 }
+
+// Stats are a group's barrier-round cost counters. They depend only on
+// the simulation's content (window ends and event counts are pure
+// functions of it), so they repeat exactly from run to run and can be
+// compared like any simulated result.
+type Stats struct {
+	// Windows is the number of barrier rounds run.
+	Windows uint64
+	// Events is the total number of events all shards executed in windows.
+	Events uint64
+	// Busiest sums, over windows, the events of that window's busiest
+	// shard: the lockstep critical path, since no shard starts the next
+	// window before the slowest finishes this one. Busiest ÷ Events is the
+	// share of all events on that path; Shards × Busiest ÷ Events is the
+	// per-window imbalance, 1 when every window is perfectly balanced.
+	Busiest uint64
+}
+
+// Stats returns the counters accumulated by Run so far. Call it from the
+// coordinating goroutine, not while Run is executing a window.
+func (g *Group) Stats() Stats { return g.stats }
 
 // New builds a group over engines. shardOf maps every node id to its
 // engine's index; lookahead is the minimum cross-shard scheduling distance
@@ -163,6 +190,8 @@ func New(engines []*sim.Engine, shardOf []int, lookahead sim.Time) *Group {
 		endv:      make([]sim.Time, len(engines)),
 		ends:      make([]atomic.Int64, len(engines)),
 		fail:      make([]any, len(engines)),
+
+		startEvents: make([]uint64, len(engines)),
 	}
 	g.out = make([][][]Record, len(engines))
 	for s := range g.out {
@@ -239,8 +268,9 @@ func (g *Group) window(s int) {
 // re-raised here (lowest shard id wins, deterministically) after the
 // barrier settles, with the group closed so no goroutine is left behind.
 func (g *Group) runWindow() {
-	for s := range g.endv {
+	for s, e := range g.engines {
 		g.ends[s].Store(int64(g.endv[s]))
+		g.startEvents[s] = e.Events()
 	}
 	g.epoch.Add(1)
 	g.window(0)
@@ -249,12 +279,18 @@ func (g *Group) runWindow() {
 		runtime.Gosched()
 	}
 	g.arrived.Store(0)
-	for s := range g.engines {
+	busiest := uint64(0)
+	for s, e := range g.engines {
 		if f := g.fail[s]; f != nil {
 			g.Close()
 			panic(f)
 		}
+		n := e.Events() - g.startEvents[s]
+		g.stats.Events += n
+		busiest = max(busiest, n)
 	}
+	g.stats.Windows++
+	g.stats.Busiest += busiest
 }
 
 // integrate drains every outbox into the destination shards' queues in
@@ -268,7 +304,7 @@ func (g *Group) integrate() {
 			g.out[s][d] = g.out[s][d][:0]
 		}
 	}
-	sort.Slice(buf, func(i, j int) bool { return byKey(buf[i], buf[j]) })
+	slices.SortFunc(buf, byKey)
 	for i := range buf {
 		r := &buf[i]
 		g.engines[g.shardOf[r.Dst]].AtEventStamped(r.At, r.SchedAt, r.Src, r.Seq, r.H, r.Recv, r.Arg)

@@ -315,6 +315,11 @@ func TestAdaptiveWindowsShrinkBarrierCount(t *testing.T) {
 		t.Fatalf("saw %d windows for an isolated 8000 ns chain; adaptive windows should need ~%d (classic %d)",
 			windows, classic/2, classic)
 	}
+	// One shard does all the work, so it is every window's busiest.
+	want := partition.Stats{Windows: uint64(windows), Events: 8000, Busiest: 8000}
+	if got := h.g.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
 }
 
 // TestNewValidates covers the constructor's contract checks.

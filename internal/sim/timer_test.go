@@ -185,6 +185,17 @@ func TestTypedScheduleAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("timer arm/stop allocates %.1f per run, want 0", allocs)
 	}
+
+	// Zero-delay events ride the same-instant lane.
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.AfterEvent(0, tick, n, 0)
+		e.AfterEvent(0, tick, n, 0)
+		for e.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("same-instant lane schedule/fire allocates %.1f per run, want 0", allocs)
+	}
 }
 
 // TestProcessResumeAllocFree gates the highest-frequency scheduling site:
@@ -211,6 +222,37 @@ func TestProcessResumeAllocFree(t *testing.T) {
 	p.Unpark()
 	e.Run()
 	e.Drain()
+}
+
+// TestProcessSleepAllocFree gates both Sleep paths: the fast-forward of a
+// lone sleeper, and the queued wake-up of two interleaved sleepers.
+func TestProcessSleepAllocFree(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		e := NewEngine()
+		var ps []*Process
+		for i := 0; i < procs; i++ {
+			d := Time(procs+i) * Nanosecond
+			ps = append(ps, e.Spawn("sleeper", func(p *Process) {
+				for {
+					p.Park()
+					for j := 0; j < 4; j++ {
+						p.Sleep(d)
+					}
+				}
+			}))
+		}
+		e.Run() // park the sleepers
+		allocs := testing.AllocsPerRun(1000, func() {
+			for _, p := range ps {
+				p.Unpark()
+			}
+			e.Run()
+		})
+		if allocs != 0 {
+			t.Fatalf("%d sleepers: sleep allocates %.1f per run, want 0", procs, allocs)
+		}
+		e.Drain()
+	}
 }
 
 // TestHeapShrinksAfterDrain verifies the backing array contracts once a

@@ -7,6 +7,7 @@ import (
 	"nisim/internal/machine"
 	"nisim/internal/msglayer"
 	"nisim/internal/nic"
+	"nisim/internal/sim/partition"
 )
 
 // TestShardedRunIsByteIdentical is the workload-level half of the
@@ -121,5 +122,27 @@ func TestShardedOpenLoopIsByteIdentical(t *testing.T) {
 					kind.ShortName(), shards, serialRes, res)
 			}
 		}
+	}
+}
+
+// TestPartitionStatsRepeat: the partitioned engine's barrier counters are
+// a pure function of the simulation, so two runs of one sharded cell
+// report identical windows, events and critical path, and the critical
+// path lies between a perfectly balanced split and all of the events.
+func TestPartitionStatsRepeat(t *testing.T) {
+	const shards = 2
+	run := func() partition.Stats {
+		cfg := machine.DefaultConfig(nic.CM5, 8)
+		cfg.Nodes, cfg.Shards = 16, shards
+		m := machine.New(cfg)
+		m.Run(Program(Dsmc, Params{Iters: 0.2}, cfg.Nodes))
+		return m.PartitionStats()
+	}
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("partition stats differ between identical runs: %+v vs %+v", a, b)
+	}
+	if a.Windows == 0 || a.Busiest*shards < a.Events || a.Busiest > a.Events {
+		t.Fatalf("implausible partition stats %+v", a)
 	}
 }

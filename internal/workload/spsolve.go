@@ -27,7 +27,7 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 	)
 	// edgeDest computes, globally deterministically, the destination of
 	// vertex (level, node, k)'s outgoing edge — every node can therefore
-	// derive how many messages it will receive per level. Most of a node's
+	// know how many messages it will receive per level. Most of a node's
 	// edges funnel to a single next-level owner (the DAG's chain structure),
 	// which is what makes spsolve's bursts overwhelm a receiver with scant
 	// buffering; the rest scatter irregularly.
@@ -44,21 +44,27 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 		}
 		return d
 	}
-	return func(n *machine.Node) {
-		N := n.Size()
-		expected := make([]int, levels+1)
-		for l := 0; l < levels; l++ {
-			for src := 0; src < N; src++ {
-				if src == n.ID {
-					continue
-				}
-				for k := 0; k < verticesPerLevel; k++ {
-					if edgeDest(l, src, k, N) == n.ID {
-						expected[l]++
-					}
+	// Every edge's destination is drawn once per program, here in serial
+	// context, instead of by every node for every edge it counts: dest is
+	// indexed [(level*nodes+node)*verticesPerLevel+k] and expected, the
+	// number of edges each node receives per level from other nodes,
+	// [node*levels+level].
+	dest := make([]int, levels*nodes*verticesPerLevel)
+	expected := make([]int, nodes*levels)
+	for l := 0; l < levels; l++ {
+		for src := 0; src < nodes; src++ {
+			for k := 0; k < verticesPerLevel; k++ {
+				d := edgeDest(l, src, k, nodes)
+				dest[(l*nodes+src)*verticesPerLevel+k] = d
+				if d != src {
+					expected[d*levels+l]++
 				}
 			}
 		}
+	}
+	return func(n *machine.Node) {
+		N := n.Size()
+		expected := expected[n.ID*levels : (n.ID+1)*levels]
 		got := make([]int, levels+1)
 		n.EP.Register(hOneWay, rs.counted(func(ep *msglayer.Endpoint, m *msglayer.Message) {
 			ep.Proc().Compute(handlerCycles)
@@ -71,7 +77,7 @@ func spsolveProgram(p Params, nodes int) func(n *machine.Node) {
 		for l := 0; l < levels; l++ {
 			// Fire this level's vertices: a deep burst of tiny messages.
 			for k := 0; k < verticesPerLevel; k++ {
-				rs.countedSend(n, edgeDest(l, n.ID, k, N), hOneWay, edgePayload, uint64(l))
+				rs.countedSend(n, dest[(l*nodes+n.ID)*verticesPerLevel+k], hOneWay, edgePayload, uint64(l))
 			}
 			for i := 0; i < tinyPerLevel; i++ {
 				d := r.Intn(N - 1)
