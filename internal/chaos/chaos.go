@@ -173,11 +173,11 @@ func StandardGrid(quick bool) GridSpec {
 	return g
 }
 
-// config assembles one cell's machine configuration: the spec with the
+// Config assembles one cell's machine configuration: the spec with the
 // mix's overload policy grafted on, the mix's faults and reliability, and
 // the starvation watchdog armed everywhere — an overload cell must never
 // silently hang.
-func (g GridSpec) config(s nic.Spec, mx Mix) machine.Config {
+func (g GridSpec) Config(s nic.Spec, mx Mix) machine.Config {
 	spec := s
 	spec.Overload = mx.Overload
 	cfg := machine.DefaultConfig(nic.KindOf(s), 8)
@@ -258,8 +258,8 @@ func ScaleProtocolGrid(nodes, shards, requests int) GridSpec {
 	return g
 }
 
-// params builds the open-loop workload parameters for one cell.
-func (g GridSpec) params(ld Load, mx Mix) workload.OpenLoopParams {
+// Params builds the open-loop workload parameters for one cell.
+func (g GridSpec) Params(ld Load, mx Mix) workload.OpenLoopParams {
 	return workload.OpenLoopParams{
 		MeanGap:    ld.Gap,
 		Requests:   g.Requests,
@@ -288,7 +288,7 @@ func (g GridSpec) Jobs() []sweep.Job {
 						"nodes": fmt.Sprint(g.Nodes), "protocol": mx.Protocol.String(),
 					},
 					Run: func() sweep.Outcome {
-						res, st := workload.RunOpenLoop(g.config(s, mx), g.params(ld, mx))
+						res, st := workload.RunOpenLoop(g.Config(s, mx), g.Params(ld, mx))
 						return outcome(res, st)
 					},
 				})

@@ -289,12 +289,18 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 		return m.runSharded(prog)
 	}
 
+	// The run ends at the event in which the last node finishes or the
+	// watchdog below declares a stall: each of those sites stops the engine,
+	// which lets Run fast-forward process sleeps that a RunWhile condition
+	// would have to check between every pair of events.
 	done := 0
 	for _, n := range m.Nodes {
 		n := n
 		p := m.Eng.Spawn(fmt.Sprintf("app-%d", n.ID), func(p *sim.Process) {
 			prog(n)
-			done++
+			if done++; done == len(m.Nodes) {
+				m.Eng.Stop()
+			}
 		})
 		n.Proc.Bind(p)
 	}
@@ -339,6 +345,7 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 				if r := m.Eng.StallReport(); r != "" {
 					stalled = fmt.Sprintf("machine: no network progress for %v with %d/%d nodes finished at %v\n%s",
 						horizon, done, len(m.Nodes), m.Eng.Now(), r)
+					m.Eng.Stop()
 					return
 				}
 			} else if del == lastDel {
@@ -347,6 +354,7 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 					if r := m.Net.StarvationReport(); r != "" {
 						stalled = fmt.Sprintf("machine: sustained overload starvation — network churning for %v without a delivery, %d/%d nodes finished at %v\n%s",
 							sim.Time(starvedTicks)*horizon, done, len(m.Nodes), m.Eng.Now(), r)
+						m.Eng.Stop()
 						return
 					}
 				}
@@ -361,7 +369,7 @@ func (m *Machine) Run(prog func(n *Node)) *stats.Machine {
 		m.Eng.After(horizon, tick)
 	}
 
-	m.Eng.RunWhile(func() bool { return done < len(m.Nodes) && stalled == "" })
+	m.Eng.Run()
 	if stalled != "" {
 		panic(stalled)
 	}

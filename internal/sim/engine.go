@@ -52,25 +52,26 @@ const maxTime = Time(math.MaxInt64)
 // the cooperative-process machinery guarantees that at most one goroutine
 // touches the engine at any instant.
 //
-// Pending events live in two queues that together pop in strict key order
-// (at, schedAt, ord, ordSeq, seq) — see the heap order note in event.go. A
-// non-timer event scheduled for the current instant from local context,
-// key (now, now, 0, 0, seq), goes to the same-instant lane, an O(1) FIFO;
-// everything else, timers included, goes to the binary heap. Step pops
-// whichever of the lane head and the heap top is smaller under the full
-// key: usually the lane, but a heap event at (now, schedAt < now) — posted
-// earlier for this instant — still runs first.
+// Pending events live in one binary heap that pops in strict key order
+// (at, schedAt, ord, ordSeq, seq) — see the heap order note in event.go.
+// A process Sleep whose wake-up would be the very next event popped skips
+// the heap altogether (see Process.Sleep); nothing else bypasses it.
 type Engine struct {
 	now     Time
 	seq     uint64
 	pq      eventHeap
-	lane    eventFIFO
 	pool    *event // free list of recycled event records
 	pooled  int
 	procs   map[*Process]struct{}
 	stopped bool
 	stepped uint64 // number of events executed
-	run     runLoop
+	ffwd    uint64 // of those, Sleep wake-ups fast-forwarded past the heap
+	// runLast is the latest event time the active run loop admits;
+	// Process.Sleep's fast-forward consults it so that skipping a wake-up's
+	// round trip through the heap is exact. Its zero value, outside any
+	// loop and under RunWhile, admits no wake-up: every wake-up lies after
+	// time 0.
+	runLast Time
 
 	quiescence []func() string
 
@@ -92,39 +93,29 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.stepped }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return e.pq.len() + e.lane.n }
+func (e *Engine) Pending() int { return e.pq.len() }
 
-// runLoop is what the active run loop (Run, RunWhile, RunUntil, RunWindow)
-// would do at the next event boundary; Process.Sleep's fast-forward
-// consults it so that skipping a wake-up's round trip through the queue
-// is exact. The zero value, outside any loop, admits no wake-up: every
-// wake-up lies after time 0.
-type runLoop struct {
-	last Time        // latest event time the loop admits
-	cond func() bool // RunWhile's condition; nil for the other loops
-	// condFalse records that Sleep already evaluated cond at this event
-	// boundary and got false, so RunWhile stops without evaluating it a
-	// second time.
-	condFalse bool
-}
+// SleepFastForwards returns how many of the executed events (Events) were
+// process wake-ups that Sleep fast-forwarded instead of queuing. It is a
+// deterministic count, a pure function of the simulation and its run-loop
+// calls, and measures how often the fast path applies.
+func (e *Engine) SleepFastForwards() uint64 { return e.ffwd }
 
-// enterLoop installs a run loop's admission rule and returns the previous
+// enterLoop installs a run loop's admission bound and returns the previous
 // one for the loop to restore when it returns.
-func (e *Engine) enterLoop(last Time, cond func() bool) runLoop {
-	prev := e.run
-	e.run = runLoop{last: last, cond: cond}
+func (e *Engine) enterLoop(last Time) Time {
+	prev := e.runLast
+	e.runLast = last
 	return prev
 }
 
 // wakeIsNext reports whether a process wake-up scheduled now for time t —
 // key (t, now, 0, 0, seq+1) — is the very next event the active run loop
-// would execute: nothing in the lane, the heap top later under the full
-// key, the engine not stopped, t inside the loop's bound, and RunWhile's
-// condition true at this boundary (evaluated here in the loop's place).
-// A Step called outside any run loop never qualifies.
+// would execute: the heap top later under the full key, the engine not
+// stopped, and t inside the loop's bound. A Step called outside any run
+// loop, or under RunWhile, never qualifies.
 func (e *Engine) wakeIsNext(t Time) bool {
-	r := &e.run
-	if t > r.last || e.stopped || e.lane.head != nil {
+	if t > e.runLast || e.stopped {
 		return false
 	}
 	if len(e.pq.a) > 0 {
@@ -135,35 +126,25 @@ func (e *Engine) wakeIsNext(t Time) bool {
 			return false
 		}
 	}
-	if r.cond != nil && !r.cond() {
-		r.condFalse = true
-		return false
-	}
-	return !e.stopped // cond may itself have called Stop
+	return true
 }
 
 // schedule allocates a pooled record, stamps it with (t, next seq), and
-// enqueues it: in the same-instant lane when t is now, in the heap
-// otherwise.
-func (e *Engine) schedule(t Time) *event { return e.enqueue(t, e.now, 0, 0, t == e.now) }
+// enqueues it.
+func (e *Engine) schedule(t Time) *event { return e.scheduleKeyed(t, e.now, 0, 0) }
 
-// enqueue is schedule with the full explicit key: the schedule stamp plus
-// the network-post ordinal pair (see the heap order note in event.go). The
-// record goes to the heap unless lane is set, which only schedule does for
-// a key of (now, now, 0, 0). Scheduling in the past panics: a
-// discrete-event simulation must never travel backwards.
-func (e *Engine) enqueue(t, schedAt Time, ord, ordSeq uint64, lane bool) *event {
+// scheduleKeyed is schedule with the full explicit heap key: the schedule
+// stamp plus the network-post ordinal pair (see the heap order note in
+// event.go). Scheduling in the past panics: a discrete-event simulation
+// must never travel backwards.
+func (e *Engine) scheduleKeyed(t, schedAt Time, ord, ordSeq uint64) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
 	e.seq++
 	ev.at, ev.schedAt, ev.ord, ev.ordSeq, ev.seq = t, schedAt, ord, ordSeq, e.seq
-	if lane {
-		e.lane.push(ev)
-	} else {
-		e.pq.push(ev)
-	}
+	e.pq.push(ev)
 	return ev
 }
 
@@ -208,7 +189,7 @@ func (e *Engine) AtEvent(t Time, h Handler, recv any, arg uint64) {
 //
 //lint:hotpath
 func (e *Engine) AtEventPosted(t Time, src int, postSeq uint64, h Handler, recv any, arg uint64) {
-	ev := e.enqueue(t, e.now, uint64(src)+1, postSeq, false)
+	ev := e.scheduleKeyed(t, e.now, uint64(src)+1, postSeq)
 	ev.h, ev.recv, ev.arg = h, recv, arg
 }
 
@@ -225,7 +206,7 @@ func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Hand
 	if schedAt > t {
 		panic(fmt.Sprintf("sim: event at %v stamped from the future %v", t, schedAt))
 	}
-	ev := e.enqueue(t, schedAt, uint64(src)+1, postSeq, false)
+	ev := e.scheduleKeyed(t, schedAt, uint64(src)+1, postSeq)
 	ev.h, ev.recv, ev.arg = h, recv, arg
 }
 
@@ -233,14 +214,10 @@ func (e *Engine) AtEventStamped(t, schedAt Time, src int, postSeq uint64, h Hand
 // false when the queue is empty. The partitioned runtime uses this at each
 // barrier to size the next conservative window.
 func (e *Engine) NextEventAt() (t Time, ok bool) {
-	ev := e.lane.head
-	if len(e.pq.a) > 0 && (ev == nil || before(e.pq.a[0], ev)) {
-		ev = e.pq.a[0]
-	}
-	if ev == nil {
+	if e.pq.len() == 0 {
 		return 0, false
 	}
-	return ev.at, true
+	return e.pq.a[0].at, true
 }
 
 // RunWindow executes every pending event with a timestamp strictly before
@@ -250,7 +227,7 @@ func (e *Engine) NextEventAt() (t Time, ok bool) {
 // before it is safe to run without coordination. An empty window just
 // advances the clock.
 func (e *Engine) RunWindow(end Time) {
-	defer func(prev runLoop) { e.run = prev }(e.enterLoop(end-1, nil))
+	defer func(prev Time) { e.runLast = prev }(e.enterLoop(end - 1))
 	for e.step(end - 1) {
 	}
 	if !e.stopped && e.now < end {
@@ -271,7 +248,7 @@ func (e *Engine) AfterEvent(d Time, h Handler, recv any, arg uint64) {
 //
 //lint:hotpath
 func (e *Engine) AtTimer(t Time, h Handler, recv any, arg uint64) Timer {
-	ev := e.enqueue(t, e.now, 0, 0, false)
+	ev := e.schedule(t)
 	ev.h, ev.recv, ev.arg = h, recv, arg
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
@@ -294,27 +271,14 @@ func (e *Engine) AfterTimer(d Time, h Handler, recv any, arg uint64) Timer {
 func (e *Engine) Step() bool { return e.step(maxTime) }
 
 // step executes the next pending event if the engine is not stopped and
-// the event's time is at most last, and reports whether it did. The next
-// event is the lane head or the heap top, whichever is smaller under the
-// full key.
+// the event's time is at most last, and reports whether it did.
 //
 //lint:hotpath
 func (e *Engine) step(last Time) bool {
-	if e.stopped {
+	if e.stopped || len(e.pq.a) == 0 || e.pq.a[0].at > last {
 		return false
 	}
-	ev := e.lane.head
-	if len(e.pq.a) > 0 && (ev == nil || before(e.pq.a[0], ev)) {
-		if ev = e.pq.a[0]; ev.at > last {
-			return false
-		}
-		e.pq.pop()
-	} else {
-		if ev == nil || ev.at > last {
-			return false
-		}
-		e.lane.pop()
-	}
+	ev := e.pq.pop()
 	e.now = ev.at
 	e.stepped++
 	// Capture the callback, then recycle the record before dispatching: the
@@ -336,7 +300,7 @@ func (e *Engine) step(last Time) bool {
 // simulation that runs out of events with work still outstanding has lost
 // a message, not finished.
 func (e *Engine) Run() {
-	defer func(prev runLoop) { e.run = prev }(e.enterLoop(maxTime, nil))
+	defer func(prev Time) { e.runLast = prev }(e.enterLoop(maxTime))
 	for e.step(maxTime) {
 	}
 	if !e.stopped && e.OnStall != nil {
@@ -372,7 +336,7 @@ func (e *Engine) StallReport() string {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	defer func(prev runLoop) { e.run = prev }(e.enterLoop(t, nil))
+	defer func(prev Time) { e.runLast = prev }(e.enterLoop(t))
 	for e.step(t) {
 	}
 	if !e.stopped && e.now < t {
@@ -381,14 +345,13 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // RunWhile executes events until cond reports false, the queue drains, or
-// the engine is stopped. cond is evaluated once before every event: by
-// this loop, or by a sleeping process's fast-forward (see Process.Sleep),
-// which asks it at the same event boundary. It must depend only on
-// simulation state, not on the queue itself (Pending, NextEventAt): a
-// fast-forwarding Sleep asks it before its wake-up is queued.
+// the engine is stopped. cond is evaluated before every event, so Sleep
+// never fast-forwards under RunWhile: every wake-up takes the round trip
+// through the heap. A loop whose condition flips inside known events runs
+// faster as Run with a Stop call at those events.
 func (e *Engine) RunWhile(cond func() bool) {
-	defer func(prev runLoop) { e.run = prev }(e.enterLoop(maxTime, cond))
-	for !e.stopped && !e.run.condFalse && cond() && e.step(maxTime) {
+	defer func(prev Time) { e.runLast = prev }(e.enterLoop(0))
+	for !e.stopped && cond() && e.step(maxTime) {
 	}
 }
 

@@ -22,16 +22,13 @@ package sim
 // TestTypedScheduleAllocFree). Closure events ride the same pooled records;
 // only their captured environments still allocate, at the caller.
 //
-// Determinism: pooling, cancellation and the same-instant lane cannot
-// reorder events. The engine pops strictly by the full key (at, schedAt,
-// ord, ordSeq, seq) — see the heap order note on eventHeap; seq is
-// assigned once per schedule call from a monotonic counter and is never
-// reused by a recycled record, so FIFO order among same-timestamp events
-// is exactly the order of the schedule calls. Cancellation removes a record
-// without touching the key of any other record. The lane (eventFIFO) holds
-// only records keyed (now, now, 0, 0, seq), which differ in seq alone, so
-// its FIFO order is their key order; Engine.Step compares its head with
-// the heap top under the same key and pops the smaller.
+// Determinism: pooling and cancellation cannot reorder events. The heap
+// pops strictly by the full key (at, schedAt, ord, ordSeq, seq) — see the
+// heap order note on eventHeap; seq is assigned once per schedule call
+// from a monotonic counter and is never reused by a recycled record, so
+// FIFO order among same-timestamp events is exactly the order of the
+// schedule calls. Cancellation removes a record without touching the key
+// of any other record.
 
 // Handler is the code half of a typed event: a package-level function (or a
 // wrapper around a method) invoked with the event's receiver and argument
@@ -54,8 +51,8 @@ type event struct {
 	arg  uint64
 
 	gen  uint64 // recycle generation, guards Timer handles
-	idx  int    // heap position; -1 when not in the heap
-	next *event // lane link while queued in the lane, free-list link once released
+	idx  int    // heap position; -1 when not queued
+	next *event // free-list link
 }
 
 // Timer is a handle on a scheduled event that can be cancelled. The zero
@@ -255,40 +252,6 @@ func (h *eventHeap) remove(ev *event) {
 	}
 	ev.idx = -1
 	h.maybeShrink()
-}
-
-// eventFIFO is the same-instant lane: a FIFO of non-timer events
-// scheduled for the current instant by plain engine context (key (now,
-// now, 0, 0, seq)), linked intrusively through event.next — a queued
-// record is never on the free list, so the field is free. Such events are
-// a fifth of all events in a macrobenchmark cell (process unparks, spawns,
-// resumes after a bus access), and the lane queues and dequeues each in
-// O(1) instead of two O(log n) heap sifts. Timers never ride the lane, so
-// Timer.Stop only ever removes from the heap.
-type eventFIFO struct {
-	head, tail *event
-	n          int
-}
-
-func (q *eventFIFO) push(ev *event) {
-	if q.tail == nil {
-		q.head = ev
-	} else {
-		q.tail.next = ev
-	}
-	q.tail = ev
-	q.n++
-}
-
-func (q *eventFIFO) pop() *event {
-	ev := q.head
-	q.head = ev.next
-	if q.head == nil {
-		q.tail = nil
-	}
-	ev.next = nil
-	q.n--
-	return ev
 }
 
 // minHeapCap is the backing-array size below which shrinking is pointless.

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Edge cases of the engine's fast paths: the same-instant lane and
-// Sleep's fast-forward must pop exactly what the plain heap did.
+// Edge cases of Sleep's fast-forward: a Sleep that skips the heap must
+// leave exactly the order, clock and event count of the queued round trip.
 
 // checkOrder fails t unless got equals want element for element.
 func checkOrder(t *testing.T, got, want []string) {
@@ -16,28 +16,10 @@ func checkOrder(t *testing.T, got, want []string) {
 	}
 }
 
-// TestLaneYieldsToEarlierPostedHeapEvent: an event in the heap for this
-// instant that was scheduled at an earlier instant, key (now, schedAt <
-// now), runs before a lane event scheduled now, even though the lane
-// event is already queued when the heap event's turn comes.
-func TestLaneYieldsToEarlierPostedHeapEvent(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.At(10*Nanosecond, func() {
-		order = append(order, "x")
-		e.At(e.Now(), func() { order = append(order, "lane") })
-	})
-	e.At(5*Nanosecond, func() {
-		e.At(10*Nanosecond, func() { order = append(order, "z") }) // (10, 5)
-	})
-	e.Run()
-	checkOrder(t, order, []string{"x", "z", "lane"})
-}
-
-// TestTimerArmedAtNowInterleavesWithLane: a timer for the current instant
-// stays in the heap (so Stop keeps its O(log n) removal) and still fires
-// in schedule order among the lane's events; stopping it removes it.
-func TestTimerArmedAtNowInterleavesWithLane(t *testing.T) {
+// TestTimerArmedAtNow: a timer for the current instant fires in schedule
+// order among the other events for this instant, and stopping one before
+// it fires removes it.
+func TestTimerArmedAtNow(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	rec := func(name string) Handler {
@@ -154,9 +136,10 @@ func TestSleepAfterStopInSameEvent(t *testing.T) {
 	e.Drain()
 }
 
-// TestSleepCondFalseAtWakeBoundary: RunWhile's condition is asked once per
-// event boundary. When it turns false at a sleeping process's boundary
-// the wake-up stays queued, and the loop does not ask a second time.
+// TestSleepCondFalseAtWakeBoundary: RunWhile asks its condition once
+// before every event, so a Sleep under it never fast-forwards. When the
+// condition turns false at a sleeping process's boundary the wake-up
+// stays queued.
 func TestSleepCondFalseAtWakeBoundary(t *testing.T) {
 	e := NewEngine()
 	done, woke, calls := false, false, 0
@@ -170,6 +153,9 @@ func TestSleepCondFalseAtWakeBoundary(t *testing.T) {
 	if woke || e.Now() != Nanosecond || e.Pending() != 1 || e.Events() != 2 || calls != 3 {
 		t.Fatalf("woke %v, now %v, pending %d, events %d, cond calls %d; want false, 1ns, 1, 2, 3",
 			woke, e.Now(), e.Pending(), e.Events(), calls)
+	}
+	if e.SleepFastForwards() != 0 {
+		t.Fatalf("%d wake-ups fast-forwarded under RunWhile, want 0", e.SleepFastForwards())
 	}
 	e.Run()
 	if !woke || e.Now() != 2*Nanosecond || e.Events() != 3 {
@@ -198,9 +184,9 @@ func TestStepNeverFastForwards(t *testing.T) {
 	}
 }
 
-// TestSleepFastForwardSkipsQueue: a lone sleeper under Run never touches
-// the heap — every wake-up is the next event — while its clock, event
-// count and blocked-time accounting match the queued round trip.
+// TestSleepFastForwardSkipsQueue: a lone sleeper under Run never queues a
+// wake-up — every one is the next event — while its clock, event count
+// and blocked-time accounting match the queued round trip.
 func TestSleepFastForwardSkipsQueue(t *testing.T) {
 	e := NewEngine()
 	var blocked Time
@@ -211,8 +197,8 @@ func TestSleepFastForwardSkipsQueue(t *testing.T) {
 	})
 	p.OnBlocked = func(_ int, d Time) { blocked += d }
 	e.Run()
-	if cap(e.pq.a) != 0 {
-		t.Fatalf("heap grew to cap %d; the wake-ups should not be queued", cap(e.pq.a))
+	if e.SleepFastForwards() != 5 {
+		t.Fatalf("%d of 5 wake-ups fast-forwarded", e.SleepFastForwards())
 	}
 	if e.Now() != 15*Nanosecond || e.Events() != 6 || blocked != 15*Nanosecond {
 		t.Fatalf("now %v, events %d, blocked %v; want 15ns, 6, 15ns", e.Now(), e.Events(), blocked)

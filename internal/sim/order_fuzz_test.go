@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzEngineOrder checks the engine's fast paths — the same-instant lane,
-// Sleep's fast-forward and the bottom-up heap pop — against a reference
-// queue: a plain sorted slice over the documented key (at, schedAt, ord,
-// ordSeq, seq), with processes modelled as explicit state machines. The
-// input decodes into a driver plan (Run, RunWhile, RunUntil, RunWindow,
-// manual Steps) and an operation stream that every activation — an event
+// FuzzEngineOrder checks the engine's fast paths — Sleep's fast-forward
+// and the bottom-up heap pop — against a reference queue: a plain sorted
+// slice over the documented key (at, schedAt, ord, ordSeq, seq), with
+// processes modelled as explicit state machines. The input decodes into
+// a driver plan (Run, RunWhile, RunUntil, RunWindow, manual Steps) and an
+// operation stream that every activation — an event
 // handler firing or a process resuming — consumes from: At and AtEvent
 // (zero-delay and future), AtEventPosted, AtEventStamped, AtTimer and
 // Timer.Stop, Spawn, Unpark, Stop and, in process context, Sleep, Park and

@@ -122,11 +122,12 @@ func (p *Process) Now() Time { return p.eng.now }
 // When the wake-up would be the very next event the active run loop
 // executes (see Engine.wakeIsNext), Sleep fast-forwards instead: it
 // consumes the wake-up's sequence number, advances the clock and counts
-// the event exactly as the round trip through the queue would, then
+// the event exactly as the round trip through the heap would, then
 // returns without suspending — no heap push or pop, no coroutine switches.
 // Nothing can observe the difference: no other event runs in between, and
 // Events, Now and the OnBlocked accounting read the same values. A Step
-// called outside a run loop always takes the round trip.
+// called outside a run loop, and every Sleep under RunWhile, always takes
+// the round trip.
 //
 //lint:hotpath
 func (p *Process) Sleep(d Time) {
@@ -142,6 +143,7 @@ func (p *Process) Sleep(d Time) {
 		e.seq++
 		e.now = wake
 		e.stepped++
+		e.ffwd++
 	} else {
 		e.AtEvent(wake, procResume, p, 0)
 		p.suspend()

@@ -186,16 +186,6 @@ func TestTypedScheduleAllocFree(t *testing.T) {
 		t.Fatalf("timer arm/stop allocates %.1f per run, want 0", allocs)
 	}
 
-	// Zero-delay events ride the same-instant lane.
-	allocs = testing.AllocsPerRun(1000, func() {
-		e.AfterEvent(0, tick, n, 0)
-		e.AfterEvent(0, tick, n, 0)
-		for e.Step() {
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("same-instant lane schedule/fire allocates %.1f per run, want 0", allocs)
-	}
 }
 
 // TestProcessResumeAllocFree gates the highest-frequency scheduling site:
